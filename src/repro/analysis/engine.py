@@ -401,10 +401,25 @@ class IncidenceIndex:
         """Shared counts for every ``k``-combination of ``os_names``.
 
         Combinations are emitted in ``itertools.combinations(os_names, k)``
-        order, zero counts included.  Partial intersections are computed once
-        per combination *prefix* and reused for every completion, and once a
-        partial AND is empty the remaining combinations under it are filled
-        with zero without touching the masks again.
+        order, zero counts included: the zero fill is one C-level
+        ``dict.fromkeys`` pass, overwritten in place by
+        :meth:`nonzero_k_sets`.
+        """
+        names = tuple(os_names)
+        nonzero = self.nonzero_k_sets(names, k)
+        totals = dict.fromkeys(itertools.combinations(names, k), 0)
+        totals.update(nonzero)
+        return totals
+
+    def nonzero_k_sets(self, os_names: Sequence[str], k: int) -> Dict[Tuple[str, ...], int]:
+        """Shared counts of the ``k``-combinations sharing at least one entry.
+
+        Same keys (minus the zero-count ones), values, order and
+        ``ValueError`` as :meth:`k_set_totals`.  Partial intersections are
+        computed once per combination *prefix* and reused for every
+        completion, and a prefix whose partial AND is empty is pruned
+        whole, so the cost follows the non-zero combinations rather than
+        ``C(n, k)``.
         """
         names = tuple(os_names)
         if not 0 < k <= len(names):
@@ -414,29 +429,16 @@ class IncidenceIndex:
 
         def expand(start: int, prefix: Tuple[str, ...], acc: int) -> None:
             depth_left = k - len(prefix)
-            if depth_left == 0:
-                totals[prefix] = acc.bit_count()
-                return
-            if depth_left == 1 and acc:
+            if depth_left == 1:
                 for index in range(start, len(names)):
-                    totals[prefix + (names[index],)] = (acc & masks[index]).bit_count()
-                return
-            if not acc:
-                # The prefix intersection is already empty: every completion
-                # shares zero vulnerabilities, no further ANDs needed.  The
-                # map/fromkeys pair keeps the (possibly huge) zero fill in C.
-                totals.update(
-                    dict.fromkeys(
-                        map(
-                            prefix.__add__,
-                            itertools.combinations(names[start:], depth_left),
-                        ),
-                        0,
-                    )
-                )
+                    count = (acc & masks[index]).bit_count()
+                    if count:
+                        totals[prefix + (names[index],)] = count
                 return
             for index in range(start, len(names) - depth_left + 1):
-                expand(index + 1, prefix + (names[index],), acc & masks[index])
+                child = acc & masks[index]
+                if child:
+                    expand(index + 1, prefix + (names[index],), child)
 
         expand(0, (), (1 << len(self._entries)) - 1)
         return totals
@@ -800,7 +802,7 @@ class PackedIndex:
         counts = self._dense_k_set_counts(names, k)
         if counts is not None:
             return counts
-        totals = self._k_set_totals_dfs(names, k)
+        totals = self.k_set_totals(names, k)
         return np.fromiter(totals.values(), dtype=np.int64, count=len(totals))
 
     def _dense_k_set_counts(
@@ -822,8 +824,8 @@ class PackedIndex:
 
         Identical keys, values, ordering and ``ValueError`` to
         :meth:`IncidenceIndex.k_set_totals`; the counts come from the
-        column-walking bincount where it fits and from the vectorised
-        depth-first fold otherwise.
+        column-walking bincount where it fits and from the zero-filled
+        :meth:`nonzero_k_sets` fold otherwise.
         """
         names = tuple(os_names)
         if not 0 < k <= len(names):
@@ -831,52 +833,46 @@ class PackedIndex:
         counts = self._dense_k_set_counts(names, k)
         if counts is not None:
             return dict(zip(itertools.combinations(names, k), counts.tolist()))
-        return self._k_set_totals_dfs(names, k)
+        totals = dict.fromkeys(itertools.combinations(names, k), 0)
+        totals.update(self.nonzero_k_sets(names, k))
+        return totals
 
-    def _k_set_totals_dfs(
-        self, names: Tuple[str, ...], k: int
-    ) -> Dict[Tuple[str, ...], int]:
-        """The shared-prefix depth-first fold over packed rows.
+    def nonzero_k_sets(self, os_names: Sequence[str], k: int) -> Dict[Tuple[str, ...], int]:
+        """Shared counts of the ``k``-combinations sharing at least one entry.
 
-        Same shape as :meth:`IncidenceIndex.k_set_totals` -- combination
-        order, zero fill for dead prefixes -- but the innermost level ANDs
-        the accumulator against the whole remaining row block at once and
-        popcounts it in one vectorised pass.
+        Same keys, values, order and ``ValueError`` as
+        :meth:`IncidenceIndex.nonzero_k_sets`.  Where the column-walking
+        bincount fits, its non-zero slots are picked out in C; otherwise
+        the shared-prefix depth-first fold runs over packed rows, with the
+        innermost level ANDing the accumulator against the whole remaining
+        row block and popcounting it in one vectorised pass.
         """
+        names = tuple(os_names)
+        if not 0 < k <= len(names):
+            raise ValueError(f"k must be between 1 and {len(names)}")
+        counts = self._dense_k_set_counts(names, k)
+        if counts is not None:
+            values = counts.tolist()
+            return dict(
+                itertools.compress(zip(itertools.combinations(names, k), values), values)
+            )
         rows = self._gather_rows(names)
         totals: Dict[Tuple[str, ...], int] = {}
 
         def expand(start: int, prefix: Tuple[str, ...], acc: np.ndarray) -> None:
             depth_left = k - len(prefix)
-            if depth_left == 0:
-                totals[prefix] = int(word_popcounts(acc).sum())
-                return
-            alive = bool(acc.any())
-            if depth_left == 1 and alive:
-                block = rows[start:]
-                counts = word_popcounts(acc[None, :] & block).sum(
+            if depth_left == 1:
+                counts = word_popcounts(acc[None, :] & rows[start:]).sum(
                     axis=-1, dtype=np.int64
                 )
-                totals.update(
-                    zip(
-                        map(prefix.__add__, ((name,) for name in names[start:])),
-                        counts.tolist(),
-                    )
-                )
-                return
-            if not alive:
-                totals.update(
-                    dict.fromkeys(
-                        map(
-                            prefix.__add__,
-                            itertools.combinations(names[start:], depth_left),
-                        ),
-                        0,
-                    )
-                )
+                values = counts.tolist()
+                for offset in np.flatnonzero(counts).tolist():
+                    totals[prefix + (names[start + offset],)] = values[offset]
                 return
             for index in range(start, len(names) - depth_left + 1):
-                expand(index + 1, prefix + (names[index],), acc & rows[index])
+                child = acc & rows[index]
+                if child.any():
+                    expand(index + 1, prefix + (names[index],), child)
 
         full = np.full(
             self._rows.shape[1], 0xFFFFFFFFFFFFFFFF, dtype=np.uint64

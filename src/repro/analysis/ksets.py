@@ -14,14 +14,19 @@ interpretations of that count:
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.core.constants import OS_NAMES
 from repro.core.enums import ServerConfiguration
-from repro.core.models import VulnerabilityEntry
+
+#: A half-open ``[lo, hi)`` interval of ``itertools.combinations`` ranks.
+Span = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ class KSetAnalysis:
         self._dataset = (
             dataset if prefiltered else dataset.valid().filtered(configuration)
         )
+        self._walks: Dict[int, Dict[Tuple[str, ...], int]] = {}
+        self._walks_lock = threading.Lock()
 
     # -- breadth of individual vulnerabilities --------------------------------------
 
@@ -110,26 +117,164 @@ class KSetAnalysis:
         vulnerabilities are included (they are exactly the candidates for a
         diverse replica group).
         """
-        if not 2 <= k <= len(self._os_names):
-            raise ValueError(f"k must be between 2 and {len(self._os_names)}")
-        if self._dataset.engine != "naive":
-            # Depth-first fold-AND with shared prefix intersections.
-            return self._dataset.query_index().k_set_totals(self._os_names, k)
-        totals: Dict[Tuple[str, ...], int] = {}
-        for combo in itertools.combinations(self._os_names, k):
-            totals[combo] = self._dataset.shared_count(combo)
+        nonzero = self._nonzero_totals(k)
+        totals = dict.fromkeys(itertools.combinations(self._os_names, k), 0)
+        totals.update(nonzero)
         return totals
 
-    def best_combinations(self, k: int, top: int = 5) -> List[Tuple[Tuple[str, ...], int]]:
-        """The ``top`` k-OS combinations with the fewest common vulnerabilities."""
-        totals = self.per_combination_totals(k)
-        return sorted(totals.items(), key=lambda item: (item[1], item[0]))[:top]
+    def best_combinations(
+        self, k: int, top: int = 5, span: Optional[Span] = None
+    ) -> List[Tuple[Tuple[str, ...], int]]:
+        """The ``top`` k-OS combinations with the fewest common vulnerabilities.
 
-    def worst_combinations(self, k: int, top: int = 5) -> List[Tuple[Tuple[str, ...], int]]:
-        """The ``top`` k-OS combinations with the most common vulnerabilities."""
-        totals = self.per_combination_totals(k)
-        return sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:top]
+        Ties break on the combination tuple.  The zero-count combinations
+        come first, smallest tuple first, from a lazy lexicographic walk
+        that stops after ``top``; non-zero ones fill any remaining slots.
+        ``span`` restricts the answer to the combinations whose rank in
+        ``itertools.combinations(os_names, k)`` order lies in
+        ``[span[0], span[1])``.
+        """
+        best = [
+            (combo, 0)
+            for combo in itertools.islice(self._zero_combinations(k, span), top)
+        ]
+        if len(best) < top:
+            best += heapq.nsmallest(
+                top - len(best),
+                self._nonzero_items(k, span),
+                key=lambda item: (item[1], item[0]),
+            )
+        return best
 
-    def combinations_fully_covered(self, k: int) -> int:
-        """Number of ``k``-OS combinations with at least one common vulnerability."""
-        return sum(1 for count in self.per_combination_totals(k).values() if count > 0)
+    def worst_combinations(
+        self, k: int, top: int = 5, span: Optional[Span] = None
+    ) -> List[Tuple[Tuple[str, ...], int]]:
+        """The ``top`` k-OS combinations with the most common vulnerabilities.
+
+        Ties break on the combination tuple; zero-count combinations, smallest
+        tuple first, fill the list only when fewer than ``top`` are non-zero.
+        ``span`` is as in :meth:`best_combinations`.
+        """
+        worst = heapq.nsmallest(
+            top, self._nonzero_items(k, span), key=lambda item: (-item[1], item[0])
+        )
+        if len(worst) < top:
+            worst += [
+                (combo, 0)
+                for combo in itertools.islice(
+                    self._zero_combinations(k, span), top - len(worst)
+                )
+            ]
+        return worst
+
+    def combinations_fully_covered(self, k: int, span: Optional[Span] = None) -> int:
+        """Number of ``k``-OS combinations with at least one common vulnerability.
+
+        ``span`` is as in :meth:`best_combinations`.
+        """
+        return len(self._nonzero_items(k, span))
+
+    # -- the non-zero walk ---------------------------------------------------------------
+
+    def _nonzero_totals(self, k: int) -> Dict[Tuple[str, ...], int]:
+        """The non-zero ``k``-combinations and their counts, in combination order.
+
+        Computed once per ``k`` and memoised (under a lock, since the
+        service shares one analysis between request threads): every
+        per-combination query derives from it.  Only combinations sharing at
+        least one vulnerability are visited, so the cost follows the
+        (usually few) covered combinations rather than ``C(n, k)``.
+        """
+        if not 2 <= k <= len(self._os_names):
+            raise ValueError(f"k must be between 2 and {len(self._os_names)}")
+        with self._walks_lock:
+            walk = self._walks.get(k)
+            if walk is None:
+                if self._dataset.engine != "naive":
+                    # Depth-first fold-AND with shared prefix intersections.
+                    walk = self._dataset.query_index().nonzero_k_sets(self._os_names, k)
+                else:
+                    walk = {}
+                    for combo in itertools.combinations(self._os_names, k):
+                        count = self._dataset.shared_count(combo)
+                        if count:
+                            walk[combo] = count
+                self._walks[k] = walk
+            return walk
+
+    def _nonzero_items(
+        self, k: int, span: Optional[Span]
+    ) -> List[Tuple[Tuple[str, ...], int]]:
+        """The non-zero ``(combination, count)`` pairs whose rank is in ``span``."""
+        items = list(self._nonzero_totals(k).items())
+        if span is None:
+            return items
+        position = {name: index for index, name in enumerate(self._os_names)}
+        count = len(self._os_names)
+        return [
+            (combo, shared)
+            for combo, shared in items
+            if span[0]
+            <= combination_rank([position[name] for name in combo], count)
+            < span[1]
+        ]
+
+    def _zero_combinations(
+        self, k: int, span: Optional[Span]
+    ) -> Iterator[Tuple[str, ...]]:
+        """Zero-count combinations in ``span``, smallest tuple first (lazy)."""
+        nonzero = self._nonzero_totals(k)
+        return (
+            combo
+            for combo in lexicographic_combinations(self._os_names, k, span)
+            if combo not in nonzero
+        )
+
+
+def combination_rank(indices: Sequence[int], n: int) -> int:
+    """Rank of a combination of ``range(n)`` in ``itertools.combinations`` order.
+
+    ``indices`` is strictly increasing.  Each digit skips the combinations
+    whose element at that depth is smaller:
+    ``C(n - start, left) - C(n - index, left)`` of them.
+    """
+    rank, start, left = 0, 0, len(indices)
+    for index in indices:
+        rank += math.comb(n - start, left) - math.comb(n - index, left)
+        start, left = index + 1, left - 1
+    return rank
+
+
+def lexicographic_combinations(
+    names: Sequence[str], k: int, span: Optional[Span] = None
+) -> Iterator[Tuple[str, ...]]:
+    """The ``k``-combinations of ``names`` in increasing tuple order.
+
+    Each combination is spelled as ``itertools.combinations(names, k)``
+    spells it (members in catalogue order), but the combinations come out
+    sorted, which differs whenever the catalogue is not alphabetical.  Each
+    depth tries the admissible names alphabetically; ``span`` keeps only the
+    combinations whose ``itertools.combinations`` rank lies in
+    ``[span[0], span[1])``, skipping every subtree (a contiguous rank
+    interval) that misses it.  ``names`` must be distinct.
+    """
+    n = len(names)
+    lo, hi = span if span is not None else (0, math.comb(n, k))
+    alphabetical = sorted(range(n), key=names.__getitem__)
+
+    def expand(
+        start: int, prefix: Tuple[str, ...], base: int
+    ) -> Iterator[Tuple[str, ...]]:
+        left = k - len(prefix)
+        for index in alphabetical:
+            if not start <= index <= n - left:
+                continue
+            first = base + math.comb(n - start, left) - math.comb(n - index, left)
+            if first >= hi or first + math.comb(n - index - 1, left - 1) <= lo:
+                continue
+            if left == 1:
+                yield prefix + (names[index],)
+            else:
+                yield from expand(index + 1, prefix + (names[index],), first)
+
+    return expand(0, (), 0)

@@ -102,23 +102,30 @@ class VulnerabilityDatabase:
     # -- vulnerabilities -------------------------------------------------------
 
     def insert_entry(self, entry: VulnerabilityEntry) -> int:
-        """Insert one entry (and its relationships); returns the row id."""
+        """Insert one entry (and its relationships) in its own transaction.
+
+        Returns the row id.
+        """
+        with self._conn:
+            return self._write_entry(entry)
+
+    def _write_entry(self, entry: VulnerabilityEntry) -> int:
+        """Write one entry's rows inside the caller's open transaction."""
         try:
-            with self._conn:
-                cursor = self._conn.execute(
-                    "INSERT INTO vulnerability"
-                    " (cve_id, published, summary, validity, entry_digest, tombstoned)"
-                    " VALUES (?, ?, ?, ?, ?, 0)",
-                    (
-                        entry.cve_id,
-                        entry.published.isoformat(),
-                        entry.summary,
-                        entry.validity.value,
-                        entry_digest(entry),
-                    ),
-                )
-                vuln_id = cursor.lastrowid
-                self._insert_relationships(vuln_id, entry)
+            cursor = self._conn.execute(
+                "INSERT INTO vulnerability"
+                " (cve_id, published, summary, validity, entry_digest, tombstoned)"
+                " VALUES (?, ?, ?, ?, ?, 0)",
+                (
+                    entry.cve_id,
+                    entry.published.isoformat(),
+                    entry.summary,
+                    entry.validity.value,
+                    entry_digest(entry),
+                ),
+            )
+            vuln_id = cursor.lastrowid
+            self._insert_relationships(vuln_id, entry)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"cannot insert {entry.cve_id}: {exc}") from exc
         return vuln_id
@@ -250,11 +257,17 @@ class VulnerabilityDatabase:
         return state
 
     def insert_entries(self, entries: Iterable[VulnerabilityEntry]) -> int:
-        """Insert a batch of entries; returns the number inserted."""
+        """Insert a batch of entries in one transaction; returns the count.
+
+        The batch is all or nothing: an error from any entry (or from the
+        iterable producing them) rolls every row of the batch back and
+        propagates.
+        """
         count = 0
-        for entry in entries:
-            self.insert_entry(entry)
-            count += 1
+        with self._conn:
+            for entry in entries:
+                self._write_entry(entry)
+                count += 1
         return count
 
     def entry_count(self, only_valid: bool = False) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.classify.classifier import ComponentClassifier
 from repro.classify.filters import ValidityFilter
@@ -36,6 +36,17 @@ class IngestReport:
     excluded_entries: int = 0
     unmatched_products: int = 0
     by_validity: Dict[str, int] = field(default_factory=dict)
+
+    def record(self, entry: VulnerabilityEntry) -> None:
+        """Count one ingested entry."""
+        self.ingested_entries += 1
+        self.by_validity[entry.validity.value] = (
+            self.by_validity.get(entry.validity.value, 0) + 1
+        )
+        if entry.is_valid:
+            self.valid_entries += 1
+        else:
+            self.excluded_entries += 1
 
 
 class IngestPipeline:
@@ -95,22 +106,19 @@ class IngestPipeline:
     # -- ingestion -------------------------------------------------------------
 
     def ingest_raw(self, raw_entries: Sequence[RawFeedEntry]) -> IngestReport:
-        """Ingest already-parsed raw entries."""
+        """Ingest already-parsed raw entries in one database transaction."""
         report = IngestReport(parsed_entries=len(raw_entries))
-        for raw in raw_entries:
-            entry = self.convert(raw)
-            if entry is None:
-                report.skipped_no_os += 1
-                continue
-            self.database.insert_entry(entry)
-            report.ingested_entries += 1
-            report.by_validity[entry.validity.value] = (
-                report.by_validity.get(entry.validity.value, 0) + 1
-            )
-            if entry.is_valid:
-                report.valid_entries += 1
-            else:
-                report.excluded_entries += 1
+
+        def converted() -> Iterator[VulnerabilityEntry]:
+            for raw in raw_entries:
+                entry = self.convert(raw)
+                if entry is None:
+                    report.skipped_no_os += 1
+                    continue
+                report.record(entry)
+                yield entry
+
+        self.database.insert_entries(converted())
         report.unmatched_products = len(self.normalizer.report.unmatched_keys)
         return report
 
@@ -125,23 +133,21 @@ class IngestPipeline:
     def ingest_entries(self, entries: Iterable[VulnerabilityEntry]) -> IngestReport:
         """Ingest pre-built entries (e.g. a synthetic corpus) without re-parsing.
 
-        Validity and classification are preserved when already present.
+        Validity and classification are preserved when already present.  The
+        batch is written in one database transaction.
         """
         report = IngestReport()
-        for entry in entries:
-            report.parsed_entries += 1
-            if not entry.affected_os:
-                report.skipped_no_os += 1
-                continue
-            if entry.component_class is None and entry.is_valid:
-                entry = entry.with_class(self.classifier.classify(entry))
-            self.database.insert_entry(entry)
-            report.ingested_entries += 1
-            if entry.is_valid:
-                report.valid_entries += 1
-            else:
-                report.excluded_entries += 1
-            report.by_validity[entry.validity.value] = (
-                report.by_validity.get(entry.validity.value, 0) + 1
-            )
+
+        def classified() -> Iterator[VulnerabilityEntry]:
+            for entry in entries:
+                report.parsed_entries += 1
+                if not entry.affected_os:
+                    report.skipped_no_os += 1
+                    continue
+                if entry.component_class is None and entry.is_valid:
+                    entry = entry.with_class(self.classifier.classify(entry))
+                report.record(entry)
+                yield entry
+
+        self.database.insert_entries(classified())
         return report

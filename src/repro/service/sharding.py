@@ -149,20 +149,18 @@ def ksets_span_payload(
     width, how many of its combinations are fully covered, and the span's
     ``top`` best/worst combinations under the global tie-break (count,
     then lexicographic combination) -- the global top-``top`` is always
-    contained in the union of per-span top-``top`` lists.
+    contained in the union of per-span top-``top`` lists.  All three come
+    from the same memoised non-zero walk as the single-process payload,
+    restricted to the span.
     """
-    view = artifacts.filtered_valid(configuration)
-    totals = [
-        (combo, view.shared_count(combo))
-        for combo in _combinations_in(artifacts.os_names, k, span)
-    ]
-    best = sorted(totals, key=lambda item: (item[1], item[0]))[:top]
-    worst = sorted(totals, key=lambda item: (-item[1], item[0]))[:top]
+    analysis = artifacts.ksets(configuration)
+    best = analysis.best_combinations(k, top, span)
+    worst = analysis.worst_combinations(k, top, span)
     return {
         "digest": artifacts.digest,
         "span": list(span),
         "combinations": span[1] - span[0],
-        "fully_covered": sum(1 for _combo, count in totals if count > 0),
+        "fully_covered": analysis.combinations_fully_covered(k, span),
         "best": [[list(combo), count] for combo, count in best],
         "worst": [[list(combo), count] for combo, count in worst],
     }

@@ -83,6 +83,19 @@ class TestInsertAndLoad:
         assert db.entry_count() == 2
         assert [e.cve_id for e in db.load_entries(only_valid=True)] == ["CVE-2001-0001"]
 
+    def test_batch_is_one_transaction(self, db):
+        """A duplicate CVE partway through a batch rolls the whole batch back."""
+        batch = [make_entry(cve_id=f"CVE-2001-{number:04d}") for number in range(5)]
+        batch.insert(3, make_entry(cve_id="CVE-2001-0001"))
+        with pytest.raises(DatabaseError, match="CVE-2001-0001"):
+            db.insert_entries(batch)
+        assert db.entry_count() == 0
+        for table in ("vulnerability", "vulnerability_type", "cvss", "os_vuln"):
+            rows = db.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+            assert rows[0] == 0, table
+        assert db.insert_entries(batch[:3]) == 3
+        assert db.entry_count() == 3
+
     def test_context_manager(self):
         with VulnerabilityDatabase() as database:
             database.register_os_catalog()

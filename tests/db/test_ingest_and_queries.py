@@ -5,6 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.core.enums import ComponentClass, ServerConfiguration
+from repro.core.exceptions import DatabaseError
 from repro.db import queries
 from repro.db.database import VulnerabilityDatabase
 from repro.db.ingest import IngestPipeline
@@ -129,6 +130,32 @@ class TestIngest:
             ]
         )
         assert report.by_validity == {"Valid": 1, "Unknown": 1}
+
+
+class TestBatchAtomicity:
+    """Each ingest call writes its batch in one transaction: all or nothing."""
+
+    def test_failing_entry_leaves_no_rows_from_ingest_entries(self):
+        pipeline = IngestPipeline()
+        batch = [make_entry(cve_id=f"CVE-2004-{number:04d}") for number in range(4)]
+        batch.append(make_entry(cve_id="CVE-2004-0002"))
+        with pytest.raises(DatabaseError, match="CVE-2004-0002"):
+            pipeline.ingest_entries(batch)
+        assert pipeline.database.entry_count() == 0
+
+    def test_failing_entry_leaves_no_rows_from_ingest_raw(self):
+        pipeline = IngestPipeline()
+        raw = [
+            _raw(f"CVE-2006-{number:04d}", 2006, ["cpe:/o:sun:solaris:9"])
+            for number in range(4)
+        ]
+        raw.insert(2, _raw("CVE-2006-0000", 2006, ["cpe:/o:debian:debian_linux:3.1"]))
+        with pytest.raises(DatabaseError, match="CVE-2006-0000"):
+            pipeline.ingest_raw(raw)
+        assert pipeline.database.entry_count() == 0
+        report = pipeline.ingest_raw(raw[:2])
+        assert report.ingested_entries == 2
+        assert pipeline.database.entry_count() == 2
 
 
 class TestQueries:
