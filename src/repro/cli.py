@@ -625,6 +625,16 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
                 return 0
             print(report.text)
             return 0
+        if args.action == "verify":
+            problems = store.verify()
+            for problem in problems:
+                print(problem)
+            if problems:
+                return 1
+            head = store.head()
+            print(f"ledger verified: {database.entry_count()} live entries, "
+                  f"head {head.short_digest if head else '-'}, no drift")
+            return 0
         print(f"unknown snapshot action {args.action!r}", file=sys.stderr)
         return 2
     finally:
@@ -1019,16 +1029,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     snapshot_parser = add_command(
         "snapshot",
-        "inspect the snapshot ledger: list, diff, checkout, drift",
+        "inspect the snapshot ledger: list, diff, checkout, drift, verify",
         "examples:\n"
         "  python -m repro --db data.db snapshot list\n"
         "  python -m repro --db data.db snapshot diff            # parent -> head\n"
         "  python -m repro --db data.db snapshot diff --from 1 --to 3 --cves\n"
         "  python -m repro --db data.db snapshot checkout --id 2 --output feeds/\n"
-        "  python -m repro --db data.db snapshot drift           # Table-1 over time",
+        "  python -m repro --db data.db snapshot drift           # Table-1 over time\n"
+        "  python -m repro --db data.db snapshot verify          # exit 1 on drift",
     )
     snapshot_parser.add_argument(
-        "action", choices=("list", "diff", "checkout", "drift"),
+        "action", choices=("list", "diff", "checkout", "drift", "verify"),
         help="ledger operation to perform",
     )
     snapshot_parser.add_argument(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import datetime as _dt
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.constants import OS_CATALOG
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
@@ -35,6 +36,7 @@ class VulnerabilityDatabase:
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._create_schema()
         self._os_ids: Dict[str, int] = {}
+        self._txn_depth = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -55,6 +57,26 @@ class VulnerabilityDatabase:
         """The underlying SQLite connection (for ad-hoc queries)."""
         return self._conn
 
+    @contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        """One database transaction; nested uses join the outermost one.
+
+        Only the outermost level commits (on a clean exit) or rolls back
+        (when an exception escapes it), so a caller can group many
+        mutations -- every entry of a delta plus its ledger row -- into one
+        all-or-nothing unit, while each mutation called on its own still
+        commits by itself.
+        """
+        self._txn_depth += 1
+        try:
+            if self._txn_depth > 1:
+                yield self._conn
+            else:
+                with self._conn:
+                    yield self._conn
+        finally:
+            self._txn_depth -= 1
+
     # -- operating systems -----------------------------------------------------
 
     def register_os_catalog(
@@ -62,7 +84,7 @@ class VulnerabilityDatabase:
     ) -> None:
         """Insert the OS catalogue (names, families, releases)."""
         catalog = catalog or OS_CATALOG
-        with self._conn:
+        with self.transaction():
             for os_obj in catalog.values():
                 cursor = self._conn.execute(
                     "INSERT OR IGNORE INTO os (name, family, vendor, first_release_year)"
@@ -102,30 +124,26 @@ class VulnerabilityDatabase:
     # -- vulnerabilities -------------------------------------------------------
 
     def insert_entry(self, entry: VulnerabilityEntry) -> int:
-        """Insert one entry (and its relationships) in its own transaction.
+        """Insert one entry (and its relationships); returns the row id.
 
-        Returns the row id.
+        Commits on its own, or joins the caller's :meth:`transaction`.
         """
-        with self._conn:
-            return self._write_entry(entry)
-
-    def _write_entry(self, entry: VulnerabilityEntry) -> int:
-        """Write one entry's rows inside the caller's open transaction."""
         try:
-            cursor = self._conn.execute(
-                "INSERT INTO vulnerability"
-                " (cve_id, published, summary, validity, entry_digest, tombstoned)"
-                " VALUES (?, ?, ?, ?, ?, 0)",
-                (
-                    entry.cve_id,
-                    entry.published.isoformat(),
-                    entry.summary,
-                    entry.validity.value,
-                    entry_digest(entry),
-                ),
-            )
-            vuln_id = cursor.lastrowid
-            self._insert_relationships(vuln_id, entry)
+            with self.transaction():
+                cursor = self._conn.execute(
+                    "INSERT INTO vulnerability"
+                    " (cve_id, published, summary, validity, entry_digest, tombstoned)"
+                    " VALUES (?, ?, ?, ?, ?, 0)",
+                    (
+                        entry.cve_id,
+                        entry.published.isoformat(),
+                        entry.summary,
+                        entry.validity.value,
+                        entry_digest(entry),
+                    ),
+                )
+                vuln_id = cursor.lastrowid
+                self._insert_relationships(vuln_id, entry)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"cannot insert {entry.cve_id}: {exc}") from exc
         return vuln_id
@@ -172,7 +190,8 @@ class VulnerabilityDatabase:
         (the stored normalized content differed, including resurrecting a
         tombstoned entry) or ``"unchanged"`` (same content digest -- the
         update is skipped entirely, which is what makes delta re-application
-        idempotent and cheap).
+        idempotent and cheap).  Commits on its own, or joins the caller's
+        :meth:`transaction`.
         """
         digest = entry_digest(entry)
         row = self._conn.execute(
@@ -187,7 +206,7 @@ class VulnerabilityDatabase:
             return "unchanged"
         vuln_id = row["vuln_id"]
         try:
-            with self._conn:
+            with self.transaction():
                 self._conn.execute(
                     "UPDATE vulnerability SET published = ?, summary = ?,"
                     " validity = ?, entry_digest = ?, tombstoned = 0"
@@ -216,9 +235,10 @@ class VulnerabilityDatabase:
         The row (and its relationships) stays in place so snapshot history
         can still reference it; every load/count/digest path excludes
         tombstoned rows.  Tombstoning an already-tombstoned or unknown entry
-        is a no-op returning ``False``.
+        is a no-op returning ``False``.  Commits on its own, or joins the
+        caller's :meth:`transaction`.
         """
-        with self._conn:
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE vulnerability SET tombstoned = 1"
                 " WHERE cve_id = ? AND tombstoned = 0",
@@ -247,7 +267,7 @@ class VulnerabilityDatabase:
                 entry.cve_id: entry_digest(entry)
                 for entry in self.load_entries(cve_ids=missing)
             }
-            with self._conn:
+            with self.transaction():
                 for cve_id, digest in backfilled.items():
                     self._conn.execute(
                         "UPDATE vulnerability SET entry_digest = ? WHERE cve_id = ?",
@@ -264,9 +284,9 @@ class VulnerabilityDatabase:
         propagates.
         """
         count = 0
-        with self._conn:
+        with self.transaction():
             for entry in entries:
-                self._write_entry(entry)
+                self.insert_entry(entry)
                 count += 1
         return count
 
@@ -391,7 +411,7 @@ class VulnerabilityDatabase:
         ).fetchone()
         if row is None:
             raise DatabaseError(f"unknown CVE identifier {cve_id!r}")
-        with self._conn:
+        with self.transaction():
             self._conn.execute(
                 "UPDATE vulnerability_type SET component_class = ? WHERE vuln_id = ?",
                 (component_class.value, row["vuln_id"]),
@@ -399,7 +419,7 @@ class VulnerabilityDatabase:
 
     def set_validity(self, cve_id: str, validity: ValidityStatus) -> None:
         """Record a manual validity decision for an entry."""
-        with self._conn:
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE vulnerability SET validity = ? WHERE cve_id = ?",
                 (validity.value, cve_id),

@@ -941,7 +941,12 @@ class DiversityService:
         snapshot = getattr(report, "snapshot", None)
         if snapshot is None or report.changed == 0:
             return
-        self._apply_delta_invalidation(snapshot.parent_digest, snapshot.digest)
+        if report.diff is not None:
+            self._invalidate_diff(report.diff)
+        else:
+            # The first snapshot, or a delta that netted out to the head:
+            # no parent -> child diff was cut, so fall back to the ledger.
+            self._apply_delta_invalidation(snapshot.parent_digest, snapshot.digest)
         self._broadcast_invalidation(snapshot.parent_digest, snapshot.digest)
 
     def _apply_delta_invalidation(
@@ -949,12 +954,9 @@ class DiversityService:
     ) -> int:
         """Evict scoped caches for the ledger transition ``parent -> digest``.
 
-        Returns how many response-cache entries were evicted.  On the
-        ``packed`` engine the same diff also *warms* the registry:
-        :meth:`~repro.service.registry.ArtifactRegistry.patch` derives the
-        new head's index from the parent's by patching only the touched
-        entry columns, so the first request against the new digest skips
-        the full corpus recompile.
+        The peer path: a broadcast carries only the two digests, so the
+        diff is re-read from the shared ledger.  Returns how many
+        response-cache entries were evicted.
         """
         if parent_digest is None:
             evicted = self.responses.stats()["entries"]
@@ -965,16 +967,26 @@ class DiversityService:
             parent = store.by_digest(parent_digest)
             snapshot = store.by_digest(digest)
             diff = store.diff(parent.snapshot_id, snapshot.snapshot_id)
-            evicted = self.responses.invalidate_scope(diff.affected_os_names())
-            self.registry.patch(
-                DatasetState(digest=parent.digest, snapshot=parent),
-                DatasetState(
-                    digest=diff.to_snapshot.digest, snapshot=diff.to_snapshot
-                ),
-                diff,
-            )
         finally:
             database.close()
+        return self._invalidate_diff(diff)
+
+    def _invalidate_diff(self, diff) -> int:
+        """Evict the response-cache scopes ``diff`` touches; returns the count.
+
+        On the ``packed`` engine the same diff also *warms* the registry:
+        :meth:`~repro.service.registry.ArtifactRegistry.patch` derives the
+        new head's index from the parent's by patching only the touched
+        entry columns, so the first request against the new digest skips
+        the full corpus recompile.
+        """
+        evicted = self.responses.invalidate_scope(diff.affected_os_names())
+        parent = diff.from_snapshot
+        self.registry.patch(
+            DatasetState(digest=parent.digest, snapshot=parent),
+            DatasetState(digest=diff.to_snapshot.digest, snapshot=diff.to_snapshot),
+            diff,
+        )
         return evicted
 
     def _broadcast_invalidation(

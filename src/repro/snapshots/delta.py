@@ -20,7 +20,9 @@ For every raw delta entry the pipeline:
 
 After the database mutation the attached snapshot store commits, so each
 applied delta yields exactly one ledger entry (or none, when the delta was
-already applied) whose digest identifies the resulting dataset state.
+already applied) whose digest identifies the resulting dataset state.  The
+mutations and the ledger row share one database transaction: a delta that
+raises partway leaves neither rows nor a ledger entry behind.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.nvd.json_feed import parse_json_feed
 from repro.obs.clock import CLOCK, Clock
 from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.snapshots.diff import SnapshotDiff
 from repro.snapshots.store import SnapshotRecord, SnapshotStore
 
 
@@ -51,6 +54,9 @@ class DeltaReport:
     skipped_no_os: int = 0
     #: Snapshot committed after the delta (``None`` with ``commit=False``).
     snapshot: Optional[SnapshotRecord] = None
+    #: Parent -> ``snapshot`` diff built by the commit; ``None`` when the
+    #: delta cut no child snapshot (see :attr:`SnapshotStore.last_diff`).
+    diff: Optional[SnapshotDiff] = None
     by_outcome: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -108,10 +114,12 @@ class DeltaIngestPipeline:
         """Register a callback invoked after each delta that cut a snapshot.
 
         The callback receives the :class:`DeltaReport` (whose ``snapshot``
-        is the freshly-committed ledger record) synchronously, before
-        :meth:`apply_raw` returns.  Long-lived consumers -- the serving
-        layer's response cache -- use it to invalidate exactly the state a
-        delta's blast radius can touch.  Deltas that change nothing (a
+        is the freshly-committed ledger record and whose ``diff`` is the
+        commit's own change set) synchronously, after the delta's
+        transaction commits and before :meth:`apply_raw` returns.
+        Long-lived consumers -- the serving layer's response cache -- use
+        the diff to invalidate exactly the state a delta's blast radius can
+        touch, without re-reading the ledger.  Deltas that change nothing (a
         replayed feed) still notify, letting subscribers observe the
         no-op; ``commit=False`` applications never do.
         """
@@ -133,24 +141,30 @@ class DeltaIngestPipeline:
         cut (callers batching several deltas commit once at the end).
         ``created`` pins the committed snapshot's ledger timestamp (see
         :meth:`SnapshotStore.commit`); omitted, the store stamps it.
+
+        Every mutation and the ledger row land in one database transaction:
+        an error from any entry, or from the commit, rolls the whole delta
+        back and propagates.  Subscribers run after the transaction commits.
         """
         started = self._clock.perf()
         report = DeltaReport(parsed_entries=len(raw_entries))
-        for raw in raw_entries:
-            outcome = self._apply_one(raw)
-            report.by_outcome[outcome] = report.by_outcome.get(outcome, 0) + 1
-            if outcome == "added":
-                report.added += 1
-            elif outcome == "modified":
-                report.modified += 1
-            elif outcome == "unchanged":
-                report.unchanged += 1
-            elif outcome == "removed":
-                report.removed += 1
-            else:
-                report.skipped_no_os += 1
-        if commit:
-            report.snapshot = self.store.commit(source=source, created=created)
+        with self.database.transaction():
+            for raw in raw_entries:
+                outcome = self._apply_one(raw)
+                report.by_outcome[outcome] = report.by_outcome.get(outcome, 0) + 1
+                if outcome == "added":
+                    report.added += 1
+                elif outcome == "modified":
+                    report.modified += 1
+                elif outcome == "unchanged":
+                    report.unchanged += 1
+                elif outcome == "removed":
+                    report.removed += 1
+                else:
+                    report.skipped_no_os += 1
+            if commit:
+                report.snapshot = self.store.commit(source=source, created=created)
+                report.diff = self.store.last_diff
         elapsed = self._clock.perf() - started
         self._apply_seconds.observe(elapsed)
         self._blast_entries.observe(report.changed)

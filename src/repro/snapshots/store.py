@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.exceptions import DatabaseError
 from repro.snapshots.digests import (
     dataset_digest,
+    entry_digest,
     entry_from_json,
     entry_to_json,
 )
@@ -79,6 +80,8 @@ class SnapshotStore:
     def __init__(self, database: "VulnerabilityDatabase") -> None:
         self._db = database
         self._conn = database.connection
+        #: The diff of the last :meth:`commit` that cut a child snapshot.
+        self.last_diff: Optional[SnapshotDiff] = None
 
     @property
     def database(self) -> "VulnerabilityDatabase":
@@ -173,25 +176,29 @@ class SnapshotStore:
         ``created`` pins the ledger timestamp (ISO-8601); it defaults to the
         current UTC time and is the store's only wall-clock seam -- it is
         recorded for provenance and never feeds digests.
+
+        The ledger row and its version rows are written in one
+        :meth:`~repro.db.database.VulnerabilityDatabase.transaction`, which
+        joins the caller's when there is one.  Afterwards :attr:`last_diff`
+        holds the parent -> new diff (equal to :meth:`diff` over the two
+        records), or ``None`` when no snapshot was cut or it has no parent.
         """
+        self.last_diff = None
         live = self._db.live_state()
         digest = dataset_digest(live)
         head = self.head()
         if head is not None and head.digest == digest:
             return head
-        parent_state = self._state_at(head.snapshot_id) if head is not None else {}
-        added = sorted(set(live) - set(parent_state))
-        removed = sorted(set(parent_state) - set(live))
-        modified = sorted(
-            cve_id
-            for cve_id in set(live) & set(parent_state)
-            if live[cve_id] != parent_state[cve_id]
+        parent, parent_payloads = _live_versions(
+            self._version_rows_at(head.snapshot_id) if head is not None else ()
         )
+        changes = _changes(parent, live)
+        added, modified, removed = changes
         if created is None:
             created = _dt.datetime.now(_dt.timezone.utc).isoformat(  # repro: noqa[DET002] -- the single sanctioned wall-clock seam; callers inject `created=` for reproducible ledgers
                 timespec="seconds"
             )
-        with self._conn:
+        with self._db.transaction():
             cursor = self._conn.execute(
                 "INSERT INTO snapshot (digest, parent_digest, created, source,"
                 " entry_count, added, modified, removed)"
@@ -227,7 +234,88 @@ class SnapshotStore:
                     " VALUES (?, ?, NULL, NULL, 1)",
                     (snapshot_id, cve_id),
                 )
-        return self.get(snapshot_id)
+            record = self.get(snapshot_id)
+        if head is not None:
+            self.last_diff = _build_diff(
+                head, record, changes, parent_payloads, payloads
+            )
+        return record
+
+    # -- integrity -------------------------------------------------------------
+
+    def verify(self) -> List[str]:
+        """Check the ledger against the live rows; one line per problem found.
+
+        Three invariants, each of which an all-or-nothing delta preserves:
+
+        * every live row's stored ``entry_digest`` equals
+          :func:`~repro.snapshots.digests.entry_digest` of the entry the row
+          loads as;
+        * the head's digest equals the digest of the live state;
+        * replaying the ``entry_version`` chain reproduces every ledger
+          record's ``digest`` and ``parent_digest``.
+
+        An empty list means no drift.  Rows without a stored digest
+        (databases migrated from schema version 1) are backfilled by the
+        live-state read, as on every commit.
+        """
+        problems: List[str] = []
+        loaded = {
+            entry.cve_id: entry_digest(entry) for entry in self._db.load_entries()
+        }
+        for row in self._conn.execute(
+            "SELECT cve_id, entry_digest FROM vulnerability"
+            " WHERE tombstoned = 0 ORDER BY cve_id"
+        ):
+            cve_id, stored = row["cve_id"], row["entry_digest"]
+            if cve_id not in loaded:
+                problems.append(f"live row {cve_id} does not load as an entry")
+            elif stored and stored != loaded[cve_id]:
+                problems.append(
+                    f"live row {cve_id} stores entry digest {stored[:12]} "
+                    f"but its content digests to {loaded[cve_id][:12]}"
+                )
+        head = self.head()
+        if head is not None:
+            live = dataset_digest(self._db.live_state())
+            if live != head.digest:
+                problems.append(
+                    f"head #{head.snapshot_id} has digest {head.short_digest} "
+                    f"but the live rows digest to {live[:12]}"
+                )
+        versions: Dict[int, list] = {}
+        for row in self._conn.execute(
+            "SELECT snapshot_id, cve_id, entry_digest, deleted FROM entry_version"
+            " ORDER BY version_id"
+        ):
+            versions.setdefault(row["snapshot_id"], []).append(row)
+        state: Dict[str, str] = {}
+        replayed: Optional[str] = None
+        for record in self.list():
+            if record.parent_digest != replayed:
+                problems.append(
+                    f"snapshot #{record.snapshot_id} names parent "
+                    f"{(record.parent_digest or '-')[:12]} but the replayed "
+                    f"chain reaches {(replayed or '-')[:12]}"
+                )
+            for row in versions.pop(record.snapshot_id, ()):
+                if row["deleted"]:
+                    state.pop(row["cve_id"], None)
+                else:
+                    state[row["cve_id"]] = row["entry_digest"]
+            replayed = dataset_digest(state)
+            if replayed != record.digest:
+                problems.append(
+                    f"snapshot #{record.snapshot_id} has digest "
+                    f"{record.short_digest} but replaying its versions gives "
+                    f"{replayed[:12]}"
+                )
+        for snapshot_id in sorted(versions):
+            problems.append(
+                f"entry_version rows name snapshot #{snapshot_id}, "
+                "which the ledger does not hold"
+            )
+        return problems
 
     # -- time travel ------------------------------------------------------------
 
@@ -246,14 +334,6 @@ class SnapshotStore:
             """,
             (snapshot_id,),
         ).fetchall()
-
-    def _state_at(self, snapshot_id: int) -> Dict[str, str]:
-        """Mapping of live CVE ids to entry digests as of a snapshot."""
-        return {
-            row["cve_id"]: row["entry_digest"]
-            for row in self._version_rows_at(snapshot_id)
-            if not row["deleted"]
-        }
 
     def entries_at(self, snapshot_id: int) -> List["VulnerabilityEntry"]:
         """The live entries of a snapshot, ordered by (published, cve_id).
@@ -296,37 +376,62 @@ class SnapshotStore:
         """
         from_record = self.get(from_id)
         to_record = self.get(to_id)
-        before = {
-            row["cve_id"]: (row["entry_digest"], row["payload"])
-            for row in self._version_rows_at(from_id)
-            if not row["deleted"]
-        }
-        after = {
-            row["cve_id"]: (row["entry_digest"], row["payload"])
-            for row in self._version_rows_at(to_id)
-            if not row["deleted"]
-        }
-        added = sorted(set(after) - set(before))
-        removed = sorted(set(before) - set(after))
-        modified = sorted(
-            cve_id
-            for cve_id in set(before) & set(after)
-            if before[cve_id][0] != after[cve_id][0]
+        before, old_payloads = _live_versions(self._version_rows_at(from_id))
+        after, new_payloads = _live_versions(self._version_rows_at(to_id))
+        return _build_diff(
+            from_record, to_record, _changes(before, after), old_payloads, new_payloads
         )
-        old_entries = {
-            cve_id: entry_from_json(before[cve_id][1])
+
+
+def _live_versions(rows) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Entry digests and payloads by CVE id of the non-deleted version rows."""
+    digests: Dict[str, str] = {}
+    payloads: Dict[str, str] = {}
+    for row in rows:
+        if not row["deleted"]:
+            digests[row["cve_id"]] = row["entry_digest"]
+            payloads[row["cve_id"]] = row["payload"]
+    return digests, payloads
+
+
+def _changes(
+    before: Mapping[str, str], after: Mapping[str, str]
+) -> Tuple[List[str], List[str], List[str]]:
+    """Sorted (added, modified, removed) CVE ids between two digest states."""
+    added = sorted(after.keys() - before.keys())
+    removed = sorted(before.keys() - after.keys())
+    modified = sorted(
+        cve_id for cve_id in after.keys() & before.keys()
+        if before[cve_id] != after[cve_id]
+    )
+    return added, modified, removed
+
+
+def _build_diff(
+    from_record: SnapshotRecord,
+    to_record: SnapshotRecord,
+    changes: Tuple[List[str], List[str], List[str]],
+    old_payloads: Mapping[str, str],
+    new_payloads: Mapping[str, str],
+) -> SnapshotDiff:
+    """The :class:`SnapshotDiff` for ``changes``, decoding only changed payloads.
+
+    Shared by :meth:`SnapshotStore.diff` and :meth:`SnapshotStore.commit`,
+    so a commit's diff and a ledger re-read of the same transition agree.
+    """
+    added, modified, removed = changes
+    return SnapshotDiff(
+        from_snapshot=from_record,
+        to_snapshot=to_record,
+        added=tuple(added),
+        modified=tuple(modified),
+        removed=tuple(removed),
+        old_entries={
+            cve_id: entry_from_json(old_payloads[cve_id])
             for cve_id in (*modified, *removed)
-        }
-        new_entries = {
-            cve_id: entry_from_json(after[cve_id][1])
+        },
+        new_entries={
+            cve_id: entry_from_json(new_payloads[cve_id])
             for cve_id in (*added, *modified)
-        }
-        return SnapshotDiff(
-            from_snapshot=from_record,
-            to_snapshot=to_record,
-            added=tuple(added),
-            modified=tuple(modified),
-            removed=tuple(removed),
-            old_entries=old_entries,
-            new_entries=new_entries,
-        )
+        },
+    )

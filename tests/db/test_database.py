@@ -96,6 +96,29 @@ class TestInsertAndLoad:
         assert db.insert_entries(batch[:3]) == 3
         assert db.entry_count() == 3
 
+    def test_nested_transactions_commit_only_at_the_outermost_level(self, tmp_path):
+        path = tmp_path / "nvd.sqlite"
+        with VulnerabilityDatabase(path) as database, VulnerabilityDatabase(path) as other:
+            database.register_os_catalog()
+            with database.transaction():
+                database.insert_entry(make_entry(cve_id="CVE-2001-0001"))
+                with database.transaction():
+                    database.insert_entry(make_entry(cve_id="CVE-2001-0002"))
+                assert database.connection.in_transaction
+                assert other.entry_count() == 0  # nothing committed yet
+            assert other.entry_count() == 2
+
+    def test_nested_error_rolls_back_the_outermost_transaction(self, db):
+        db.insert_entry(make_entry(cve_id="CVE-2001-0001"))
+        with pytest.raises(DatabaseError):
+            with db.transaction():
+                db.insert_entry(make_entry(cve_id="CVE-2001-0002"))
+                db.tombstone_entry("CVE-2001-0001")
+                db.insert_entry(make_entry(cve_id="CVE-2001-0002"))
+        assert not db.connection.in_transaction
+        assert sorted(db.live_state()) == ["CVE-2001-0001"]
+        assert db.entry_count() == 1
+
     def test_context_manager(self):
         with VulnerabilityDatabase() as database:
             database.register_os_catalog()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -188,11 +189,25 @@ class TestDrain:
         from repro.service.jobs import JobTable
 
         grid = ExperimentGrid(configurations={"Set1": SET1}, runs=2, horizon=1.0)
-        table = JobTable(lambda job: {"ok": True}, max_jobs=2)
+        # The executor runs jobs concurrently; each job waits for its own
+        # release, and jobs are released oldest first, one at a time, so
+        # they finish in submission order on every run.
+        releases = [threading.Event() for _ in range(4)]
+
+        def runner(job):
+            assert releases[int(job.fingerprint)].wait(timeout=60.0)
+            return {"ok": True}
+
+        table = JobTable(runner, max_jobs=2)
         jobs = [
             table.submit(grid, 7, "digest", fingerprint=str(index), dataset=dataset)
             for index in range(4)
         ]
+        for release, job in zip(releases, jobs):
+            release.set()
+            deadline = time.monotonic() + 60.0
+            while job.state not in ("done", "failed") and time.monotonic() < deadline:
+                time.sleep(0.005)
         assert table.drain(grace=60.0) is True
         survivors = [job.job_id for job in table.list()]
         assert len(survivors) <= 2

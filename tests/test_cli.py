@@ -271,6 +271,41 @@ class TestIngestAndSnapshotCommands:
         assert "SnapshotDrift" in out
         assert "#1 -> #2" in out
 
+    def test_snapshot_verify_passes_after_deltas(self, ingested_db, tmp_path, capsys):
+        feed = self._write_delta(tmp_path, rejections=2)
+        assert main(["--db", str(ingested_db), "ingest", "--delta", str(feed)]) == 0
+        capsys.readouterr()
+        assert main(["--db", str(ingested_db), "snapshot", "verify"]) == 0
+        assert "no drift" in capsys.readouterr().out
+
+    def test_snapshot_verify_reports_each_drift(self, ingested_db, capsys):
+        import sqlite3
+
+        connection = sqlite3.connect(ingested_db)
+        with connection:
+            cve_id = connection.execute(
+                "SELECT cve_id FROM vulnerability ORDER BY cve_id LIMIT 1"
+            ).fetchone()[0]
+            # Content edited behind the ledger's back, and a live row
+            # withdrawn without a snapshot.
+            connection.execute(
+                "UPDATE vulnerability SET summary = 'edited' WHERE cve_id = ?",
+                (cve_id,),
+            )
+            connection.execute(
+                "UPDATE vulnerability SET tombstoned = 1 WHERE cve_id != ?"
+                " AND vuln_id = (SELECT MAX(vuln_id) FROM vulnerability)",
+                (cve_id,),
+            )
+            connection.execute("UPDATE snapshot SET digest = 'f00d' || digest")
+        connection.close()
+        assert main(["--db", str(ingested_db), "snapshot", "verify"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3, lines
+        assert lines[0].startswith(f"live row {cve_id} stores entry digest")
+        assert lines[1].startswith("head #1 has digest f00d")
+        assert lines[2].startswith("snapshot #1 has digest f00d")
+
     def test_snapshot_commands_require_existing_db(self, tmp_path, capsys):
         missing = tmp_path / "nope.db"
         assert main(["--db", str(missing), "snapshot", "list"]) == 2
